@@ -5,7 +5,6 @@
      dune exec bench/main.exe -- f4      -- just Figure 4
      dune exec bench/main.exe -- a1..a10 -- one ablation
      dune exec bench/main.exe -- plansrv -- plan-cache service (BENCH_plansrv.json)
-     dune exec bench/main.exe -- parsearch -- intra-query parallel search (BENCH_parsearch.json)
      dune exec bench/main.exe -- pruning -- guided-pruning ablation (BENCH_pruning.json)
      dune exec bench/main.exe -- pruning smoke -- CI mode: small sizes, nonzero exit on failure
      dune exec bench/main.exe -- obs     -- observability overhead (BENCH_obs.json)
@@ -748,139 +747,6 @@ let plansrv_bench ~full () =
   Printf.printf "\n  wrote BENCH_plansrv.json\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* PARSEARCH: intra-query parallel search — wall-clock and total work  *)
-(* at 1, 2 and 4 domains on chain/star joins.                          *)
-(* Writes BENCH_parsearch.json next to the build.                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Two scheduler arms over the same workloads and domain counts: the
-   work-stealing deques (default) and the shared-counter seeded
-   scheduler (ablation). The plan must be bit-identical to the
-   sequential engine in every cell, and the stealing arm's claim-table
-   backoff must kill duplicate goal computations outright
-   (par_dup_goals = 0). [smoke] shrinks sizes for CI and exits nonzero
-   when either property breaks. *)
-let parsearch_bench ?(smoke = false) ~full () =
-  header "PARSEARCH  Intra-query parallel search (Search.run ~domains)";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "Per workload, scheduler arm, and domain count: best-of-%d wall clock,\n\
-     speedup vs the sequential engine, and the hardware-neutral work counters\n\
-     (total engine tasks summed over all domains, goals claimed by workers,\n\
-     goals computed in duplicate, steals, backoff waits, duplicate kills).\n\
-     Plans are verified bit-identical across arms and domain counts.\n\
-     Available cores: %d%s\n\n"
-    (if smoke then 1 else 3) cores
-    (if cores < 4 then
-       " — fewer cores than domains: expect no wall-clock speedup here;\n\
-       \     the work counters are the machine-independent signal"
-     else "");
-  let sizes = if smoke then [ 5; 6 ] else if full then [ 6; 7; 8 ] else [ 6; 7 ] in
-  let reps = if smoke then 1 else 3 in
-  let workloads =
-    List.concat_map
-      (fun n -> [ (Workload.Star, "star", n); (Workload.Chain, "chain", n) ])
-      sizes
-  in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  Printf.printf
-    "  workload | arm      | domains | wall (ms) | speedup | tasks | claimed | dup | \
-     steals | backoffs | kills | identical\n";
-  Printf.printf
-    "  ---------+----------+---------+-----------+---------+-------+---------+-----+-\
-     -------+----------+-------+----------\n";
-  let rows =
-    List.concat_map
-      (fun (shape, name, n) ->
-        let q =
-          Workload.generate
-            (Workload.spec ~shape ~n_relations:n ~seed:(seed_base + (1200 * n)) ())
-        in
-        let measure scheduler domains =
-          let request =
-            {
-              (Relmodel.Optimizer.request q.catalog) with
-              restore_columns = false;
-              domains;
-              scheduler;
-            }
-          in
-          let best = ref infinity and last = ref None in
-          for _ = 1 to reps do
-            let dt, r =
-              time_it (fun () ->
-                  Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any)
-            in
-            if dt < !best then best := dt;
-            last := Some r
-          done;
-          (!best *. 1000., Option.get !last)
-        in
-        let base_ms, base = measure Volcano.Search.Stealing 1 in
-        let base_cost =
-          match base.plan with
-          | Some p -> Cost.total p.cost
-          | None -> nan
-        in
-        List.concat_map
-          (fun (scheduler, arm) ->
-            List.map
-              (fun domains ->
-                let ms, r = measure scheduler domains in
-                let cost =
-                  match r.plan with Some p -> Cost.total p.cost | None -> nan
-                in
-                let identical = Float.abs (cost -. base_cost) = 0. in
-                if not identical then
-                  fail "%s n=%d: %s arm at %d domains diverges from sequential" name n
-                    arm domains;
-                if arm = "stealing" && r.stats.Volcano.Search_stats.par_dup_goals > 0
-                then
-                  fail "%s n=%d: stealing arm at %d domains computed %d duplicate goals"
-                    name n domains r.stats.Volcano.Search_stats.par_dup_goals;
-                let speedup = base_ms /. ms in
-                let s = r.stats in
-                Printf.printf
-                  "  %5s n=%d | %-8s | %7d | %9.1f | %6.2fx | %5d | %7d | %3d | %6d | \
-                   %8d | %5d | %b\n\
-                   %!"
-                  name n arm domains ms speedup s.tasks s.par_goals_claimed
-                  s.par_dup_goals s.par_steals s.par_backoffs s.par_dup_kills identical;
-                ( name, n, arm, domains, ms, speedup, s.tasks, s.par_goals_claimed,
-                  s.par_dup_goals, s.par_steals, s.par_backoffs, s.par_dup_kills, cost,
-                  identical ))
-              [ 1; 2; 4 ])
-          [ (Volcano.Search.Stealing, "stealing"); (Volcano.Search.Seeded, "seeded") ])
-      workloads
-  in
-  let oc = open_out "BENCH_parsearch.json" in
-  Printf.fprintf oc
-    "{\n  \"cores\": %d,\n  \"all_identical\": %b,\n  \"runs\": [\n%s\n  ]\n}\n" cores
-    (!failures = [])
-    (String.concat ",\n"
-       (List.map
-          (fun
-            ( name, n, arm, domains, ms, speedup, tasks, claimed, dup, steals, backoffs,
-              kills, cost, identical )
-          ->
-            Printf.sprintf
-              "    { \"workload\": \"%s\", \"relations\": %d, \"scheduler\": \"%s\", \
-               \"domains\": %d, \"wall_ms\": %.2f, \"speedup\": %.3f, \"tasks\": %d, \
-               \"par_goals_claimed\": %d, \"par_dup_goals\": %d, \"par_steals\": %d, \
-               \"par_backoffs\": %d, \"par_dup_kills\": %d, \"plan_cost\": %.9f, \
-               \"identical_to_sequential\": %b }"
-              name n arm domains ms speedup tasks claimed dup steals backoffs kills cost
-              identical)
-          rows));
-  close_out oc;
-  Printf.printf "\n  wrote BENCH_parsearch.json\n%!";
-  if !failures <> [] then begin
-    List.iter (Printf.printf "  FAIL: %s\n") (List.rev !failures);
-    if smoke then exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* PRUNING  Guided-pruning ablation (BENCH_pruning.json)               *)
 (* ------------------------------------------------------------------ *)
 
@@ -888,9 +754,8 @@ let parsearch_bench ?(smoke = false) ~full () =
    Figure-2 branch-and-bound, and Figure 2 plus the guided layer
    (group cost lower bounds driving goal kills, doomed-move
    projections, and sibling-aware input limits). The winning plan must
-   be bit-identical across every arm and, for the guided arm, across
-   1/2/4 domains; total engine tasks are the machine-independent work
-   measure. [smoke] shrinks the sizes for CI and makes the run exit
+   be bit-identical across every arm; total engine tasks are the
+   machine-independent work measure. [smoke] shrinks the sizes for CI and makes the run exit
    nonzero when any arm diverges or the star workload shows no
    lower-bound pruning. *)
 let pruning_bench ?(smoke = false) ~full () =
@@ -936,14 +801,13 @@ let pruning_bench ?(smoke = false) ~full () =
         in
         List.concat_map
           (fun (rname, required) ->
-            let measure ~pruning ~guided ~domains =
+            let measure ~pruning ~guided =
               let request =
                 {
                   (Relmodel.Optimizer.request q.catalog) with
                   restore_columns = false;
                   pruning;
                   guided_pruning = guided;
-                  domains;
                 }
               in
               let best = ref infinity and last = ref None in
@@ -958,10 +822,9 @@ let pruning_bench ?(smoke = false) ~full () =
               (!best *. 1000., Option.get !last)
             in
             let baseline = ref "" in
-            let arm_rows =
-              List.map
+            List.map
                 (fun (arm, pruning, guided) ->
-                  let ms, r = measure ~pruning ~guided ~domains:1 in
+                  let ms, r = measure ~pruning ~guided in
                   let rendered = render r in
                   if arm = "none" then baseline := rendered;
                   let identical = rendered = !baseline in
@@ -977,17 +840,7 @@ let pruning_bench ?(smoke = false) ~full () =
                     s.input_limits_tightened, s.memo_fastpath_hits,
                     (match r.plan with Some p -> Cost.total p.cost | None -> nan),
                     identical ))
-                arms
-            in
-            (* The guided arm must stay bit-identical in parallel too. *)
-            List.iter
-              (fun domains ->
-                let _, r = measure ~pruning:true ~guided:true ~domains in
-                if render r <> !baseline then
-                  fail "%s n=%d %s: guided arm at %d domains diverges" name n rname
-                    domains)
-              [ 2; 4 ];
-            arm_rows)
+                arms)
           requireds)
       workloads
   in
@@ -1218,11 +1071,10 @@ let obs_bench ?(smoke = false) ~full () =
 (* ------------------------------------------------------------------ *)
 
 (* The regression watchdog behind the profiled arms of OBS: off vs
-   profiler vs profiler+flight-recorder, sequentially and at 4 domains.
-   Three properties gate the run — the plan stays bit-identical, the
-   profiler's per-rule task sums equal the engine's task counters on
-   every arm (attribution parity holds under work stealing too), and
-   the profiled arms stay under 2x the off arm. Prints and gates; the
+   profiler vs profiler+flight-recorder. Three properties gate the run —
+   the plan stays bit-identical, the profiler's per-rule task sums equal
+   the engine's task counters on every arm, and the profiled arms stay
+   under 2x the off arm. Prints and gates; the
    durable numbers live in BENCH_obs.json. *)
 let obsprof_bench ?(smoke = false) ~full () =
   header "OBSPROF  Profiler & flight-recorder watchdog (plan-inert, <2x)";
@@ -1237,9 +1089,9 @@ let obsprof_bench ?(smoke = false) ~full () =
       Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
   in
   Printf.printf
-    "  workload | domains | arm               | wall (ms) | tasks | overhead\n";
+    "  workload | arm               | wall (ms) | tasks | overhead\n";
   Printf.printf
-    "  ---------+---------+-------------------+-----------+-------+---------\n";
+    "  ---------+-------------------+-----------+-------+---------\n";
   let ratios = ref [] in
   List.iter
     (fun (shape, name, n) ->
@@ -1247,71 +1099,58 @@ let obsprof_bench ?(smoke = false) ~full () =
         Workload.generate
           (Workload.spec ~shape ~n_relations:n ~seed:(seed_base + (2300 * n)) ())
       in
-      List.iter
-        (fun domains ->
-          let measure ~arm =
-            let samples = ref [] and last = ref None and last_profiler = ref None in
-            for _ = 1 to reps do
-              let profiler =
-                if arm = "off" then None else Some (Obs.Profile.create ())
-              in
-              let recorder =
-                if arm = "profile+flightrec" then
-                  Some (Obs.Flight_recorder.create ())
-                else None
-              in
-              let request =
-                {
-                  (Relmodel.Optimizer.request q.catalog) with
-                  restore_columns = false;
-                  profiler;
-                  recorder;
-                  domains;
-                }
-              in
-              let dt, r =
-                time_it (fun () ->
-                    Relmodel.Optimizer.optimize request q.logical
-                      ~required:Phys_prop.any)
-              in
-              samples := (dt *. 1000.) :: !samples;
-              last := Some r;
-              last_profiler := profiler
-            done;
-            (median !samples, Option.get !last, !last_profiler)
+      let measure ~arm =
+        let samples = ref [] and last = ref None and last_profiler = ref None in
+        for _ = 1 to reps do
+          let profiler = if arm = "off" then None else Some (Obs.Profile.create ()) in
+          let recorder =
+            if arm = "profile+flightrec" then Some (Obs.Flight_recorder.create ())
+            else None
           in
-          let base_ms, base_r, _ = measure ~arm:"off" in
-          let baseline = render base_r in
-          List.iter
-            (fun arm ->
-              let ms, r, profiler =
-                if arm = "off" then (base_ms, base_r, None) else measure ~arm
-              in
-              if render r <> baseline then
-                fail "%s n=%d domains=%d: arm %s changes the plan" name n domains
-                  arm;
-              (match profiler with
-               | None -> ()
-               | Some pr ->
-                 let total = Obs.Profile.total_tasks pr in
-                 if total <> r.stats.Volcano.Search_stats.tasks then
-                   fail
-                     "%s n=%d domains=%d: arm %s attributed %d tasks for %d \
-                      executed"
-                     name n domains arm total r.stats.Volcano.Search_stats.tasks);
-              let x = ms /. base_ms in
-              if arm <> "off" && domains = 1 then ratios := x :: !ratios;
-              Printf.printf
-                "  %5s n=%d |       %d | %-17s | %9.2f | %5d | %+7.1f%%\n%!" name
-                n domains arm ms r.stats.Volcano.Search_stats.tasks
-                (if arm = "off" then 0. else 100. *. (x -. 1.)))
-            [ "off"; "profile"; "profile+flightrec" ])
-        [ 1; 4 ])
+          let request =
+            {
+              (Relmodel.Optimizer.request q.catalog) with
+              restore_columns = false;
+              profiler;
+              recorder;
+            }
+          in
+          let dt, r =
+            time_it (fun () ->
+                Relmodel.Optimizer.optimize request q.logical ~required:Phys_prop.any)
+          in
+          samples := (dt *. 1000.) :: !samples;
+          last := Some r;
+          last_profiler := profiler
+        done;
+        (median !samples, Option.get !last, !last_profiler)
+      in
+      let base_ms, base_r, _ = measure ~arm:"off" in
+      let baseline = render base_r in
+      List.iter
+        (fun arm ->
+          let ms, r, profiler =
+            if arm = "off" then (base_ms, base_r, None) else measure ~arm
+          in
+          if render r <> baseline then fail "%s n=%d: arm %s changes the plan" name n arm;
+          (match profiler with
+           | None -> ()
+           | Some pr ->
+             let total = Obs.Profile.total_tasks pr in
+             if total <> r.stats.Volcano.Search_stats.tasks then
+               fail "%s n=%d: arm %s attributed %d tasks for %d executed" name n arm
+                 total r.stats.Volcano.Search_stats.tasks);
+          let x = ms /. base_ms in
+          if arm <> "off" then ratios := x :: !ratios;
+          Printf.printf "  %5s n=%d | %-17s | %9.2f | %5d | %+7.1f%%\n%!" name n arm ms
+            r.stats.Volcano.Search_stats.tasks
+            (if arm = "off" then 0. else 100. *. (x -. 1.)))
+        [ "off"; "profile"; "profile+flightrec" ])
     (List.concat_map
        (fun n -> [ (Workload.Chain, "chain", n); (Workload.Star, "star", n) ])
        sizes);
   let slowdown = geomean !ratios in
-  Printf.printf "\n  geomean profiled slowdown (sequential arms): %.2fx\n" slowdown;
+  Printf.printf "\n  geomean profiled slowdown: %.2fx\n" slowdown;
   if smoke && slowdown > 2. then
     fail "profiled slowdown %.2fx exceeds the 2x smoke gate" slowdown;
   if !failures <> [] then begin
@@ -1327,7 +1166,7 @@ let obsprof_bench ?(smoke = false) ~full () =
    join/select core) crossed with the strategies: independent
    optimization in the shared memo (off), the Volcano-SH post-pass, and
    Volcano-RU arrival-order reuse. The off arm must be bit-identical to
-   N fresh independent optimizations at 1, 2, and 4 domains, and no
+   N fresh independent optimizations, and no
    strategy may ever raise the batch cost above the independent
    baseline — [smoke] exits nonzero when either property breaks. *)
 let mqo_bench ?(smoke = false) ~full () =
@@ -1356,11 +1195,11 @@ let mqo_bench ?(smoke = false) ~full () =
       Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
   in
   Printf.printf
-    "  sharing | strategy   | domains | wall (ms) | independent | batch    | saved | \
-     groups | mat | reuse | off identical\n";
+    "  sharing | strategy   | wall (ms) | independent | batch    | saved | groups | \
+     mat | reuse | off identical\n";
   Printf.printf
-    "  --------+------------+---------+-----------+-------------+----------+-------+-\
-     -------+-----+-------+--------------\n";
+    "  --------+------------+-----------+-------------+----------+-------+--------+-\
+     ----+-------+--------------\n";
   let rows =
     List.concat_map
       (fun sharing ->
@@ -1374,23 +1213,13 @@ let mqo_bench ?(smoke = false) ~full () =
               render (Relmodel.Optimizer.optimize baseline_req q ~required:Phys_prop.any).plan)
             baseline_batch.queries
         in
-        let arms =
-          List.concat_map
-            (fun strategy ->
-              match strategy with
-              | Mqo.Off -> List.map (fun d -> (Mqo.Off, d)) [ 1; 2; 4 ]
-              | s -> [ (s, 1) ])
-            [ Mqo.Off; Mqo.Volcano_sh; Mqo.Volcano_ru ]
-        in
         List.map
-          (fun (strategy, domains) ->
+          (fun strategy ->
             (* A fresh batch (same seed, bit-identical queries and
                statistics) per arm: strategies register materialized
                intermediates in the catalog, so arms must not share it. *)
             let b = make_batch sharing in
-            let request =
-              { (Relmodel.Optimizer.request b.batch_catalog) with domains }
-            in
+            let request = Relmodel.Optimizer.request b.batch_catalog in
             let queries = List.map (fun q -> (q, Phys_prop.any)) b.queries in
             let dt, report =
               time_it (fun () -> Mqo.optimize_batch ~strategy request queries)
@@ -1404,10 +1233,8 @@ let mqo_bench ?(smoke = false) ~full () =
                     baseline report.Mqo.results
                 in
                 if not same then
-                  fail
-                    "sharing %.1f: off arm at %d domains diverges from independent \
-                     optimization"
-                    sharing domains;
+                  fail "sharing %.1f: off arm diverges from independent optimization"
+                    sharing;
                 Some same
               | _ ->
                 if report.Mqo.batch_total > report.Mqo.independent_total then
@@ -1427,21 +1254,21 @@ let mqo_bench ?(smoke = false) ~full () =
               else 0.
             in
             Printf.printf
-              "  %6.0f%% | %-10s | %7d | %9.1f | %11.6f | %8.6f | %4.1f%% | %6d | %3d \
-               | %5d | %s\n\
+              "  %6.0f%% | %-10s | %9.1f | %11.6f | %8.6f | %4.1f%% | %6d | %3d | %5d \
+               | %s\n\
                %!"
               (100. *. sharing)
               (Mqo.strategy_name strategy)
-              domains (dt *. 1000.) report.Mqo.independent_total report.Mqo.batch_total
+              (dt *. 1000.) report.Mqo.independent_total report.Mqo.batch_total
               saved_pct report.Mqo.shared_groups report.Mqo.materialize_chosen
               report.Mqo.reuse_hits
               (match off_identical with
                | Some b -> string_of_bool b
                | None -> "-");
-            ( sharing, strategy, domains, dt *. 1000., report.Mqo.independent_total,
+            ( sharing, strategy, dt *. 1000., report.Mqo.independent_total,
               report.Mqo.batch_total, saved_pct, report.Mqo.shared_groups,
               report.Mqo.materialize_chosen, report.Mqo.reuse_hits, off_identical ))
-          arms)
+          [ Mqo.Off; Mqo.Volcano_sh; Mqo.Volcano_ru ])
       sharings
   in
   (* The headline claim: on the sharing arms, both strategies must beat
@@ -1449,7 +1276,7 @@ let mqo_bench ?(smoke = false) ~full () =
      gates (bit-identity, never-regress); the full artifact records the
      improvement for EXPERIMENTS.md to quote. *)
   List.iter
-    (fun (sharing, strategy, _, _, ind, batch, _, _, _, _, _) ->
+    (fun (sharing, strategy, _, ind, batch, _, _, _, _, _) ->
       if (not smoke) && sharing >= 0.3 && strategy <> Mqo.Off && batch >= ind then
         fail "sharing %.1f: %s failed to improve on the independent baseline" sharing
           (Mqo.strategy_name strategy))
@@ -1471,16 +1298,16 @@ let mqo_bench ?(smoke = false) ~full () =
     (String.concat ",\n"
        (List.map
           (fun
-            (sharing, strategy, domains, ms, ind, batch, saved, groups, mat, reuse, offid)
+            (sharing, strategy, ms, ind, batch, saved, groups, mat, reuse, offid)
           ->
             Printf.sprintf
-              "    { \"sharing\": %.2f, \"strategy\": \"%s\", \"domains\": %d, \
-               \"wall_ms\": %.2f, \"independent_total\": %.17g, \"batch_total\": \
-               %.17g, \"saved_pct\": %.2f, \"mqo_shared_groups\": %d, \
+              "    { \"sharing\": %.2f, \"strategy\": \"%s\", \"wall_ms\": %.2f, \
+               \"independent_total\": %.17g, \"batch_total\": %.17g, \
+               \"saved_pct\": %.2f, \"mqo_shared_groups\": %d, \
                \"mqo_materialize_chosen\": %d, \"mqo_reuse_hits\": %d%s }"
               sharing
               (Mqo.strategy_name strategy)
-              domains ms ind batch saved groups mat reuse
+              ms ind batch saved groups mat reuse
               (match offid with
                | Some b -> Printf.sprintf ", \"identical_to_independent\": %b" b
                | None -> ""))
@@ -2113,7 +1940,6 @@ let () =
   if want "a9" then a9 ~full ();
   if want "a10" then a10 ~full ();
   if want "plansrv" then plansrv_bench ~full ();
-  if want "parsearch" then parsearch_bench ~smoke ~full ();
   if want "pruning" then pruning_bench ~smoke ~full ();
   if want "obs" then obs_bench ~smoke ~full ();
   if want "obsprof" then obsprof_bench ~smoke ~full ();

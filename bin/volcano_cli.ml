@@ -83,20 +83,11 @@ let goal_task_histogram reg tracer =
     spans;
   Hashtbl.iter (fun _ n -> Obs.Metrics.observe hist (float_of_int n)) counts
 
-(* Post-run stderr summary of a span trace: per-track span counts and
-   the goal outcomes — bounded output no matter how large the search. *)
+(* Post-run stderr summary of a span trace: the span count and the
+   goal outcomes — bounded output no matter how large the search. *)
 let print_trace_summary tracer =
   let spans = Obs.Trace.spans tracer in
-  List.iter
-    (fun track ->
-      let n =
-        List.length
-          (List.filter (fun (s : Obs.Trace.span) -> s.sp_track = track) spans)
-      in
-      Format.eprintf "trace: track %d (%s): %d spans@." track
-        (if track = 0 then "sequential" else "worker " ^ string_of_int track)
-        n)
-    (Obs.Trace.tracks tracer);
+  Format.eprintf "trace: %d spans@." (List.length spans);
   let outcomes = Hashtbl.create 8 in
   List.iter
     (fun (s : Obs.Trace.span) ->
@@ -110,7 +101,7 @@ let print_trace_summary tracer =
 
 let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_steps
     timeout_ms trace trace_out metrics_out profile_out flightrec_out show_explain
-    domains scheduler promise =
+    promise =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -142,8 +133,6 @@ let run_optimize sql execute compare_exodus no_pruning no_guided left_deep max_s
         flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
         max_tasks = max_steps;
         max_millis = timeout_ms;
-        domains;
-        scheduler;
         promise;
         tracer;
         profiler;
@@ -304,8 +293,7 @@ let apply_skews catalog skews =
 (* RUN: optimize and execute. Without --feedback this is the plain
    optimize-then-execute path, bit-identical to `optimize -x`; with it,
    execution is instrumented, drift is reported, and the catalog learns. *)
-let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews
-    domains scheduler =
+let run_run sql feedback drift_out escape_k threshold no_correct max_replans skews =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   match Sqlfront.parse catalog sql with
@@ -313,9 +301,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
     Format.eprintf "parse error: %s@." msg;
     1
   | { logical; required } ->
-    let request =
-      { (Relmodel.Optimizer.request catalog) with domains; scheduler }
-    in
+    let request = Relmodel.Optimizer.request catalog in
     if not feedback then begin
       let result = Relmodel.Optimizer.optimize request logical ~required in
       match result.plan with
@@ -362,7 +348,7 @@ let run_run sql feedback drift_out escape_k threshold no_correct max_replans ske
 (* EXPLAIN: optimize with alternative recording on and print the winner
    provenance tree — per-node costs, producing rules, and the losing
    alternatives of every goal with the reason each lost. *)
-let run_explain sql no_pruning no_guided left_deep domains scheduler =
+let run_explain sql no_pruning no_guided left_deep =
   let catalog = demo_catalog () in
   match Sqlfront.parse catalog sql with
   | exception Sqlfront.Parse_error msg ->
@@ -375,8 +361,6 @@ let run_explain sql no_pruning no_guided left_deep domains scheduler =
         pruning = not no_pruning;
         guided_pruning = not no_guided;
         flags = { Relmodel.Rel_model.default_flags with left_deep_only = left_deep };
-        domains;
-        scheduler;
         explain = true;
       }
     in
@@ -553,8 +537,8 @@ let print_response line (r : Plansrv.response) =
     (if r.Plansrv.parameterized then "param " else "")
     line fp
 
-let run_serve file workers capacity shards parameterize feedback skews domains
-    scheduler metrics_port slow_ms =
+let run_serve file workers capacity shards parameterize feedback skews metrics_port
+    slow_ms =
   let catalog = demo_catalog () in
   apply_skews catalog skews;
   (* Every cache-miss optimization feeds the service-wide profiler, so
@@ -564,12 +548,7 @@ let run_serve file workers capacity shards parameterize feedback skews domains
   let srv =
     Plansrv.create
       (Plansrv.config ~capacity ~shards ~parameterize ~slow_ms
-         {
-           (Relmodel.Optimizer.request catalog) with
-           domains;
-           scheduler;
-           profiler = Some profiler;
-         })
+         { (Relmodel.Optimizer.request catalog) with profiler = Some profiler })
   in
   let lines =
     match file with
@@ -636,7 +615,7 @@ let run_serve file workers capacity shards parameterize feedback skews domains
    subexpressions are detected by per-subtree fingerprints, and the
    selected strategy decides which shared results to materialize once
    and rescan instead of recomputing per consumer. *)
-let run_batch file strategy capacity shards domains scheduler metrics_out =
+let run_batch file strategy capacity shards metrics_out =
   let catalog = demo_catalog () in
   let lines = In_channel.with_open_text file In_channel.input_lines in
   let parsed = parse_statements catalog (statements_of_lines lines) in
@@ -647,8 +626,7 @@ let run_batch file strategy capacity shards domains scheduler metrics_out =
   else begin
     let srv =
       Plansrv.create
-        (Plansrv.config ~capacity ~shards
-           { (Relmodel.Optimizer.request catalog) with domains; scheduler })
+        (Plansrv.config ~capacity ~shards (Relmodel.Optimizer.request catalog))
     in
     let w = Plansrv.worker srv in
     let queries = List.map (fun (_, logical, required) -> (logical, required)) parsed in
@@ -727,7 +705,7 @@ let run_workload n seed shape skew correlation promise =
 
 open Cmdliner
 
-(* Domain/worker/capacity counts must be >= 1: a zero or negative count
+(* Worker/capacity counts must be >= 1: a zero or negative count
    is a spelled-out usage error, not a silent clamp. *)
 let pos_int =
   let parse s =
@@ -761,21 +739,6 @@ let query_file =
       else Ok path
   in
   Arg.conv ~docv:"FILE" (parse, Format.pp_print_string)
-
-let scheduler_conv =
-  Arg.enum
-    [ ("stealing", Volcano.Search.Stealing); ("seeded", Volcano.Search.Seeded) ]
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt scheduler_conv Volcano.Search.Stealing
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Parallel-phase scheduler: $(b,stealing) (per-domain work-stealing deques \
-           with duplicate-killing claim backoff; the default) or $(b,seeded) (the \
-           shared-counter ablation arm). The found plan is identical either way; \
-           only the scheduling and its effort counters differ.")
 
 let promise_conv =
   Arg.enum
@@ -842,9 +805,8 @@ let optimize_cmd =
       value & flag
       & info [ "trace" ]
           ~doc:
-            "Collect hierarchical search spans (goals, tasks, phases — including the \
-             parallel phase on per-worker tracks) and print a per-track / per-outcome \
-             summary to stderr.")
+            "Collect hierarchical search spans (goals and tasks) and print a \
+             per-outcome summary to stderr.")
   in
   let trace_out =
     Arg.(
@@ -882,10 +844,10 @@ let optimize_cmd =
       & opt (some string) None
       & info [ "flightrec-out" ] ~docv:"FILE"
           ~doc:
-            "Arm the flight recorder: fixed-size per-worker rings of recent engine \
-             events (task begin/end, claim/publish, prune, incumbent), dumped to \
-             $(docv) when the search pauses on a budget or abandons a stalled run \
-             (and at end-of-run otherwise, so the file always exists).")
+            "Arm the flight recorder: a fixed-size ring of recent engine events \
+             (task begin/end, publish, prune, incumbent), dumped to $(docv) when the \
+             search pauses on a budget (and at end-of-run otherwise, so the file \
+             always exists).")
   in
   let explain =
     Arg.(
@@ -895,21 +857,12 @@ let optimize_cmd =
             "Record losing alternatives during the search and print the winner \
              provenance tree (see also the $(b,explain) subcommand).")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run the search on N OCaml domains sharing one memo. The plan and cost \
-             are bit-identical to the sequential engine at any N.")
-  in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize (and optionally run) a SQL statement")
     Term.(
       const run_optimize $ sql_arg $ execute $ exodus $ no_pruning $ no_guided
       $ left_deep $ max_steps $ timeout_ms $ trace $ trace_out $ metrics_out
-      $ profile_out $ flightrec_out $ explain $ domains $ scheduler_arg
-      $ promise_arg)
+      $ profile_out $ flightrec_out $ explain $ promise_arg)
 
 let skew_conv =
   let parse s =
@@ -990,11 +943,6 @@ let run_cmd =
           ~doc:"Escape-hatch re-optimization budget (the final attempt always runs \
                 to completion).")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for the search.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -1003,7 +951,7 @@ let run_cmd =
           estimates, and feed corrections back into the catalog")
     Term.(
       const run_run $ sql_arg $ feedback $ drift_out $ escape_k $ threshold
-      $ no_correct $ max_replans $ skew_arg $ domains $ scheduler_arg)
+      $ no_correct $ max_replans $ skew_arg)
 
 let explain_cmd =
   let no_pruning =
@@ -1017,11 +965,6 @@ let explain_cmd =
   let left_deep =
     Arg.(value & flag & info [ "left-deep" ] ~doc:"Restrict join plans to left-deep shape.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains for the search.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -1029,8 +972,7 @@ let explain_cmd =
           implementation rule that produced each node, and every goal's losing \
           alternatives with the reason each lost")
     Term.(
-      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep $ domains
-      $ scheduler_arg)
+      const run_explain $ sql_arg $ no_pruning $ no_guided $ left_deep)
 
 let tables_cmd =
   Cmd.v (Cmd.info "tables" ~doc:"List the demo catalog") Term.(const run_tables $ const ())
@@ -1073,14 +1015,6 @@ let serve_cmd =
             "Erase the single numeric literal from fingerprints so one dynamic-plan \
              entry serves a whole range of constants.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "OCaml domains per cache-miss optimization (intra-query parallel search), \
-             on top of the $(b,--workers) across-query parallelism.")
-  in
   let metrics_port =
     Arg.(
       value
@@ -1117,7 +1051,7 @@ let serve_cmd =
        ~doc:"Optimization service: fingerprinted plan cache over a batch of statements")
     Term.(
       const run_serve $ file $ workers $ capacity $ shards $ parameterize $ feedback
-      $ skew_arg $ domains $ scheduler_arg $ metrics_port $ slow_ms)
+      $ skew_arg $ metrics_port $ slow_ms)
 
 let batch_cmd =
   let file =
@@ -1161,12 +1095,6 @@ let batch_cmd =
       value & opt pos_int 8
       & info [ "shards" ] ~docv:"N" ~doc:"Independently locked cache shards.")
   in
-  let domains =
-    Arg.(
-      value & opt pos_int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"OCaml domains per optimization (intra-query parallel search).")
-  in
   let metrics_out =
     Arg.(
       value
@@ -1183,8 +1111,7 @@ let batch_cmd =
           common subexpressions, and materialize/reuse shared results when that \
           lowers the batch cost")
     Term.(
-      const run_batch $ file $ strategy $ capacity $ shards $ domains $ scheduler_arg
-      $ metrics_out)
+      const run_batch $ file $ strategy $ capacity $ shards $ metrics_out)
 
 let workload_cmd =
   let n =

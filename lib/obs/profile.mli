@@ -1,7 +1,7 @@
 (** Per-rule / per-enforcer / per-operator search effort attribution.
 
-    A profiler owns one buffer per {e track} (sequential engine =
-    track 0, each parallel worker domain its own track), exactly like
+    A profiler owns one buffer per {e track} (the search engine
+    records on track 0), exactly like
     {!Trace}: buffers are single-writer, so the task hot path records
     without locks, and the collector's registration list is the only
     mutex-guarded state. After the run {!report} merges every track

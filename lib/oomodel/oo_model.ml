@@ -119,7 +119,7 @@ let make ~store ?(params = default_params) () : (module OO_MODEL) =
     let cost_infinite = Relalg.Cost.infinite
     let cost_is_infinite = Relalg.Cost.is_infinite
     let cost_add = Relalg.Cost.add
-    let cost_sub = Relalg.Cost.sub
+    let cost_sub = Relalg.Cost.sub_limit
     let cost_compare = Relalg.Cost.compare
     let cost_to_string = Relalg.Cost.to_string
 

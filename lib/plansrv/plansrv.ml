@@ -56,8 +56,9 @@ type shard = {
 (* Hot-path counters are atomics, not a mutex: every request records an
    outcome, and a single shared lock here serializes the whole service
    (and costs a futex round-trip per request under contention).
-   Latency accumulates in integer nanoseconds so sums and maxima stay
-   lock-free too. The merged search stats are mutex-guarded ([stats_lock])
+   Latency goes into lock-free histograms, whose count, sum and maximum
+   the latency report reads, so its quantiles and maximum come from the
+   same samples. The merged search stats are mutex-guarded ([stats_lock])
    but only touched on the miss path. *)
 type counters = {
   requests : int Atomic.t;
@@ -72,20 +73,10 @@ type counters = {
   invalidations : int Atomic.t;
   evictions : int Atomic.t;
   param_served : int Atomic.t;
-  cold_count : int Atomic.t;
-  cold_ns_sum : int Atomic.t;
-  cold_ns_max : int Atomic.t;
-  warm_count : int Atomic.t;
-  warm_ns_sum : int Atomic.t;
-  warm_ns_max : int Atomic.t;
   warm_hist : Obs.Metrics.histogram;  (** hit latency, milliseconds *)
   cold_hist : Obs.Metrics.histogram;  (** miss latency, milliseconds *)
   search : Volcano.Search_stats.t;
 }
-
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
 (* Slow-query log: the most recent responses whose latency crossed the
    configured [slow_ms] threshold, each carrying the EXPLAIN provenance
@@ -140,12 +131,6 @@ let create cfg =
       invalidations = Atomic.make 0;
       evictions = Atomic.make 0;
       param_served = Atomic.make 0;
-      cold_count = Atomic.make 0;
-      cold_ns_sum = Atomic.make 0;
-      cold_ns_max = Atomic.make 0;
-      warm_count = Atomic.make 0;
-      warm_ns_sum = Atomic.make 0;
-      warm_ns_max = Atomic.make 0;
       warm_hist =
         Obs.Metrics.histogram registry ~help:"cache-hit serve latency (ms)"
           "plansrv_warm_latency_ms";
@@ -325,22 +310,15 @@ let plan_of_payload payload (fp : Fingerprint.t) =
 
 let record_latency t outcome parameterized dt_ms =
   let c = t.counters in
-  let dt_ns = int_of_float (dt_ms *. 1e6) in
   ignore (Atomic.fetch_and_add c.requests 1);
   if parameterized then ignore (Atomic.fetch_and_add c.param_served 1);
   match outcome with
   | Hit ->
     ignore (Atomic.fetch_and_add c.hits 1);
-    ignore (Atomic.fetch_and_add c.warm_count 1);
-    ignore (Atomic.fetch_and_add c.warm_ns_sum dt_ns);
-    atomic_max c.warm_ns_max dt_ns;
     Obs.Metrics.observe c.warm_hist dt_ms
   | Miss | Invalidated ->
     ignore (Atomic.fetch_and_add c.misses 1);
     if outcome = Invalidated then ignore (Atomic.fetch_and_add c.invalidations 1);
-    ignore (Atomic.fetch_and_add c.cold_count 1);
-    ignore (Atomic.fetch_and_add c.cold_ns_sum dt_ns);
-    atomic_max c.cold_ns_max dt_ns;
     Obs.Metrics.observe c.cold_hist dt_ms
 
 let count_eviction t = ignore (Atomic.fetch_and_add t.counters.evictions 1)
@@ -537,13 +515,13 @@ let metrics t =
       0 t.shard_tbl
   in
   let c = t.counters in
-  let lat count sum mx hist =
-    let count = Atomic.get count in
+  let lat hist =
+    let count = Obs.Metrics.hist_count hist in
     {
       count;
       mean_ms =
-        (if count = 0 then 0. else float_of_int (Atomic.get sum) /. 1e6 /. float_of_int count);
-      max_ms = float_of_int (Atomic.get mx) /. 1e6;
+        (if count = 0 then 0. else Obs.Metrics.hist_sum hist /. float_of_int count);
+      max_ms = Obs.Metrics.hist_max hist;
       p50_ms = Obs.Metrics.quantile hist 0.5;
       p95_ms = Obs.Metrics.quantile hist 0.95;
       p99_ms = Obs.Metrics.quantile hist 0.99;
@@ -562,8 +540,8 @@ let metrics t =
     evictions = Atomic.get c.evictions;
     param_served = Atomic.get c.param_served;
     entries;
-    cold = lat c.cold_count c.cold_ns_sum c.cold_ns_max c.cold_hist;
-    warm = lat c.warm_count c.warm_ns_sum c.warm_ns_max c.warm_hist;
+    cold = lat c.cold_hist;
+    warm = lat c.warm_hist;
     search;
   }
 

@@ -9,15 +9,19 @@
     cache, and answers. Warm hits are served off an immutable per-shard
     snapshot without taking the shard lock (see
     {!type-metrics.lockfree_hits}), so warm throughput scales with
-    serving domains instead of serializing on the shard mutexes. Entries are stamped with the catalog statistics
+    serving domains instead of serializing on the shard mutexes.
+    Entries are stamped with the catalog statistics
     versions they were optimized under and invalidated lazily when the
     statistics change. Parameterized entries delegate to {!Dynplan}
     buckets, so one cached template serves a whole range of literal
     values.
 
-    Serving is deterministic: every response carries the plan the
-    sequential optimizer would produce for the canonical form of the
-    query, regardless of worker count, scheduling, or cache state. *)
+    What a response promises: its plan has the cost a fresh
+    optimization of the query's canonical form would find, whatever the
+    worker count, scheduling, or cache state. It need not have the same
+    structure: on a Zipf stream of 160 SQL queries over a 12-table
+    catalog, 65–75 served plans per pass differ in structure from a
+    fresh optimization, and none differ in cost. *)
 
 module Lru = Lru
 module Fingerprint = Fingerprint
@@ -25,10 +29,7 @@ module Fingerprint = Fingerprint
 type config = {
   request : Relmodel.Optimizer.request;
       (** optimizer configuration used by every worker session and
-          cache-miss optimization. Setting its [domains] field above 1
-          gives each cold miss intra-query parallel search
-          ({!Volcano.Search.Make.run}) on top of the service's
-          across-query worker parallelism. *)
+          cache-miss optimization *)
   capacity : int;  (** total cached entries, divided across shards *)
   shards : int;  (** independently locked cache shards *)
   parameterize : bool;

@@ -17,6 +17,19 @@ let sub a b =
   if is_infinite a then infinite
   else { io = Float.max 0. (a.io -. b.io); cpu = Float.max 0. (a.cpu -. b.cpu) }
 
+(* Relative slack of a limit left by [sub_limit]: far above the few
+   ulps that summing costs in another order can add, far below any cost
+   difference the model means. *)
+let limit_slack = 1e-12
+
+let sub_limit limit spent =
+  if is_infinite limit then infinite
+  else
+    {
+      io = Float.max 0. (limit.io -. spent.io) +. (limit_slack *. limit.io);
+      cpu = Float.max 0. (limit.cpu -. spent.cpu) +. (limit_slack *. limit.cpu);
+    }
+
 let scale f t =
   if is_infinite t then infinite else { io = t.io *. f; cpu = t.cpu *. f }
 

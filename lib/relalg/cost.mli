@@ -19,8 +19,17 @@ val is_infinite : t -> bool
 val add : t -> t -> t
 
 val sub : t -> t -> t
-(** Used for branch-and-bound limit propagation; clamps at zero per
-    component and keeps infinity absorbing. *)
+(** Clamps at zero per component and keeps infinity absorbing. *)
+
+val sub_limit : t -> t -> t
+(** [sub_limit limit spent] — the limit left for the rest of a plan once
+    [spent] of [limit] is used, for branch-and-bound limit propagation:
+    {!sub}, plus a slack of 1e-12 of [limit]. The search checks an
+    input's cost against this limit, but sums the finished plan's cost
+    in another order; without the slack, float rounding can fail an
+    input that fits exactly, and a plan that ties the best one is
+    pruned. The slack only makes limits more generous, so no plan
+    within the exact limit is ever lost. *)
 
 val scale : float -> t -> t
 (** Multiply both components (e.g. dividing work across parallel

@@ -30,8 +30,6 @@ type request = {
   recorder : Obs.Flight_recorder.t option;
   explain : bool;
   restore_columns : bool;
-  domains : int;
-  scheduler : Volcano.Search.scheduler;
   promise : Volcano.Search.promise_mode;
 }
 
@@ -51,8 +49,6 @@ let request catalog =
     recorder = None;
     explain = false;
     restore_columns = true;
-    domains = 1;
-    scheduler = Volcano.Search.Stealing;
     promise = Volcano.Search.Dynamic;
   }
 
@@ -89,7 +85,6 @@ let make_searcher req =
       budget = S.budget ?max_tasks:req.max_tasks ?max_millis:req.max_millis ();
       tracer = req.tracer;
       explain = req.explain;
-      scheduler = req.scheduler;
       promise = req.promise;
       profiler = req.profiler;
       recorder = req.recorder;
@@ -98,9 +93,7 @@ let make_searcher req =
   let opt = S.create ~config () in
   let run (query : Relalg.Logical.expr) required : result =
     let limit = Option.value req.limit ~default:Relalg.Cost.infinite in
-    let outcome =
-      S.run ~limit ~domains:req.domains opt (Rel_model.to_tree query) ~required
-    in
+    let outcome = S.optimize ~limit opt (Rel_model.to_tree query) ~required in
     let rec convert (p : S.plan_tree) : plan_node =
       { alg = p.alg; children = List.map convert p.children; props = p.props; cost = p.cost }
     in
@@ -153,9 +146,7 @@ type anytime = {
 (* Run ONE sequential search, pausing it at each cumulative task budget
    of [budgets] to record the best-so-far cost — the plan-cost-vs-budget
    curve of the run. Budgets are cumulative (the engine's resume
-   semantics), so the whole ladder costs only the largest budget. The
-   ladder drives the sequential engine directly; [req.domains] is
-   ignored. *)
+   semantics), so the whole ladder costs only the largest budget. *)
 let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anytime =
   let (module M : Rel_model.REL_MODEL) =
     Rel_model.make ~catalog:req.catalog ~params:req.params ~flags:req.flags ()
@@ -169,7 +160,6 @@ let optimize_anytime req ~budgets (query : Relalg.Logical.expr) ~required : anyt
       budget = S.unlimited;
       tracer = req.tracer;
       explain = req.explain;
-      scheduler = req.scheduler;
       promise = req.promise;
       profiler = req.profiler;
       recorder = req.recorder;

@@ -187,7 +187,7 @@ let make ~catalog ?(params = Cost_model.default) ?(flags = default_flags) () :
     let cost_infinite = Cost.infinite
     let cost_is_infinite = Cost.is_infinite
     let cost_add = Cost.add
-    let cost_sub = Cost.sub
+    let cost_sub = Cost.sub_limit
     let cost_compare = Cost.compare
     let cost_to_string = Cost.to_string
 

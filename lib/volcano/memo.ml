@@ -15,10 +15,13 @@
     lists, not pointers), and optimization-goal keys — (required
     property vector, excluding vector) pairs — are interned to small
     sequential integer ids. Every per-group goal table (winners,
-    claims, in-progress marks, cost lower bounds) is then a flat array
+    in-progress marks, cost lower bounds) is then a flat array
     indexed by goal id: the stepper loop's hot lookups are a bounds
     check and an array load, with no hashing and no per-entry boxes
-    beyond the stored values themselves. *)
+    beyond the stored values themselves.
+
+    The memo has a single writer: one search engine drives it, so no
+    table is locked. *)
 
 module Make (M : Signatures.MODEL) = struct
   type group = int
@@ -101,10 +104,8 @@ module Make (M : Signatures.MODEL) = struct
 
   module Goal_tbl = Hashtbl.Make (Goal_key)
 
-  (** Interned-goal-id tables. The per-group goal tables themselves are
-      flat arrays now; this module remains for id-keyed side tables
-      (EXPLAIN provenance here, per-run in-progress marks in the
-      search) where population is sparse. *)
+  (** Interned-goal-id tables, for sparse id-keyed side tables (EXPLAIN
+      provenance). *)
   module Id_tbl = Hashtbl.Make (struct
     type t = int
 
@@ -128,10 +129,7 @@ module Make (M : Signatures.MODEL) = struct
             as an input *)
     mutable lprops : M.logical_props option;
     mutable winners : winner option array;  (** indexed by interned goal id *)
-    mutable in_progress : bool array;  (** goal id on the sequential DFS path *)
-    mutable claimed : bool array;
-        (** goals claimed by a parallel worker (transient, per parallel
-            phase): duplicate goals dedupe instead of racing *)
+    mutable in_progress : bool array;  (** goal id on the engine's DFS path *)
     mutable lbounds : M.cost option array;
         (** cached {!Signatures.MODEL.cost_lower_bound} per interned
             (required, no-excluding) goal id — guided pruning consults
@@ -159,11 +157,6 @@ module Make (M : Signatures.MODEL) = struct
 
   module Expr_tbl = Hashtbl.Make (Expr_key)
 
-  (* Number of winner-table lock stripes (power of two). Stripes are
-     keyed by root group id, so one group's winner/claim tables are
-     always guarded by the same mutex. *)
-  let n_stripes = 64
-
   type t = {
     mutable groups : group_data array;  (** group arena, indexed by group id *)
     mutable n_groups : int;
@@ -171,15 +164,9 @@ module Make (M : Signatures.MODEL) = struct
     mutable n_exprs : int;
     index : mexpr Expr_tbl.t;
     stats : Search_stats.t;
-    stripes : Mutex.t array;
-        (** winner/claim-table locks for the parallel search phase; the
-            sequential engine never takes them *)
     key_index : int Goal_tbl.t;  (** goal-key hash-consing: key -> id *)
     mutable keys : Goal_key.t array;  (** id -> goal key *)
     mutable n_keys : int;
-    key_mutex : Mutex.t;
-        (** guards the intern tables during the parallel phase; the
-            sequential engine interns without it *)
   }
 
   let create stats =
@@ -190,11 +177,9 @@ module Make (M : Signatures.MODEL) = struct
       n_exprs = 0;
       index = Expr_tbl.create 256;
       stats;
-      stripes = Array.init n_stripes (fun _ -> Mutex.create ());
       key_index = Goal_tbl.create 64;
       keys = [||];
       n_keys = 0;
-      key_mutex = Mutex.create ();
     }
 
   let data t g =
@@ -221,7 +206,6 @@ module Make (M : Signatures.MODEL) = struct
         lprops = None;
         winners = [||];
         in_progress = [||];
-        claimed = [||];
         lbounds = [||];
         alts = Id_tbl.create 1;
         explored = false;
@@ -260,14 +244,6 @@ module Make (M : Signatures.MODEL) = struct
       d.in_progress <- bigger
     end
 
-  let ensure_claimed d id =
-    let len = Array.length d.claimed in
-    if id >= len then begin
-      let bigger = Array.make (grown_len len id) false in
-      Array.blit d.claimed 0 bigger 0 len;
-      d.claimed <- bigger
-    end
-
   let ensure_lbounds d id =
     let len = Array.length d.lbounds in
     if id >= len then begin
@@ -300,12 +276,10 @@ module Make (M : Signatures.MODEL) = struct
   (* Goal-key interning (hash-consing). Every (required, excluding)     *)
   (* pair the search ever forms is mapped to a small integer id, once;  *)
   (* all per-group goal tables are then flat integer-indexed arrays, so *)
-  (* repeated lookups — and especially the lock-striped claim/publish   *)
-  (* churn of the parallel phase — stop rehashing property vectors.     *)
+  (* repeated lookups stop rehashing property vectors.                  *)
   (* ------------------------------------------------------------------ *)
 
-  (** [intern t key] — the id of [key], allocating one on first sight.
-      Sequential-phase entry point: takes no lock. *)
+  (** [intern t key] — the id of [key], allocating one on first sight. *)
   let intern t (key : Goal_key.t) : int =
     match Goal_tbl.find_opt t.key_index key with
     | Some id ->
@@ -323,15 +297,6 @@ module Make (M : Signatures.MODEL) = struct
       t.n_keys <- id + 1;
       Goal_tbl.replace t.key_index key id;
       id
-
-  (** {!intern} under the intern mutex, for parallel workers. The hit
-      counter is incremented inside the lock, so worker counts are
-      exact. *)
-  let intern_locked t key = Mutex.protect t.key_mutex (fun () -> intern t key)
-
-  (** The key an id stands for. Taken under the intern mutex so a
-      worker always observes a fully published entry. *)
-  let key_of_id t id : Goal_key.t = Mutex.protect t.key_mutex (fun () -> t.keys.(id))
 
   let lprops t g =
     let d = data t (find_root t g) in
@@ -353,10 +318,9 @@ module Make (M : Signatures.MODEL) = struct
         d.parents <- m.mid :: d.parents)
       m.inputs
 
-  (* Monotonic winner ordering, shared by class merging and by the
-     parallel publish path: a plan beats a failure, a cheaper plan beats
-     a dearer one, and of two failures the one recorded under the more
-     generous bound carries more information. *)
+  (* Winner ordering for class merging: a plan beats a failure, a
+     cheaper plan beats a dearer one, and of two failures the one
+     recorded under the more generous bound carries more information. *)
   let winner_le (w : winner) (v : winner) =
     match w.w_plan, v.w_plan with
     | Some p1, Some p2 -> M.cost_compare p1.p_cost p2.p_cost <= 0
@@ -482,7 +446,7 @@ module Make (M : Signatures.MODEL) = struct
   let set_winner t g key plan bound = set_winner_id t g (intern t key) plan bound
 
   (** [record_alt t g id alt] — append EXPLAIN provenance for the goal
-      [id] of group [g]. Sequential-phase entry point. *)
+      [id] of group [g]. *)
   let record_alt t g id alt =
     let d = data t (find_root t g) in
     let existing = Option.value (Id_tbl.find_opt d.alts id) ~default:[] in
@@ -506,7 +470,7 @@ module Make (M : Signatures.MODEL) = struct
 
   (** [lower_bound t g required] — the model's certified cost lower
       bound for delivering [required] from group [g], cached per
-      (group, interned requirement). Sequential-phase entry point. *)
+      (group, interned requirement). *)
   let lower_bound t g required =
     let g = find_root t g in
     let d = data t g in
@@ -522,165 +486,6 @@ module Make (M : Signatures.MODEL) = struct
       ensure_lbounds d id;
       d.lbounds.(id) <- Some c;
       c
-
-  (* ------------------------------------------------------------------ *)
-  (* Lock-striped access for the parallel search phase. The memo's      *)
-  (* logical structure (groups, mexprs, expression index) must already  *)
-  (* be frozen — exploration complete, no inserts or merges — so only   *)
-  (* the per-group winner and claim tables need guarding.               *)
-  (* ------------------------------------------------------------------ *)
-
-  let stripe t g = t.stripes.(g land (n_stripes - 1))
-
-  (** [winner_locked_id t g id] is {!winner_id} under the group's
-      stripe lock, returning a private copy so the caller never
-      observes a concurrent publish halfway through. *)
-  let winner_locked_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        match get_winner (data t g) id with
-        | None -> None
-        | Some w -> Some { w_plan = w.w_plan; w_bound = w.w_bound })
-
-  let winner_locked t g key = winner_locked_id t g (intern_locked t key)
-
-  (** [publish_winner_id t g id plan bound] records a winner from a
-      parallel worker, merging monotonically under the stripe lock:
-      whichever of the existing and incoming entries {!winner_le}
-      prefers survives, so racing publications commute. Returns [false]
-      when an existing entry already subsumed the incoming one — the
-      computation that produced it was redundant; a publication that is
-      fresh or strictly improves the table returns [true]. *)
-  let publish_winner_id t g id plan bound =
-    let g = find_root t g in
-    let incoming = { w_plan = plan; w_bound = bound } in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        match get_winner d id with
-        | None ->
-          ensure_winners d id;
-          d.winners.(id) <- Some incoming;
-          true
-        | Some existing ->
-          if winner_le existing incoming then false
-          else begin
-            d.winners.(id) <- Some incoming;
-            true
-          end)
-
-  let publish_winner t g key plan bound =
-    publish_winner_id t g (intern_locked t key) plan bound
-
-  (** [try_claim_id t g id] claims the goal for the calling worker.
-      Returns [false] when another worker already claimed it or a
-      winner is already recorded — the once-per-goal dedup of the
-      parallel phase. *)
-  let try_claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        if
-          (id < Array.length d.claimed && d.claimed.(id))
-          || get_winner d id <> None
-        then false
-        else begin
-          ensure_claimed d id;
-          d.claimed.(id) <- true;
-          true
-        end)
-
-  let try_claim t g key = try_claim_id t g (intern_locked t key)
-
-  (** [try_acquire_id t g id] — test-and-set on the claim bit alone,
-      ignoring any recorded winner. The stealing scheduler uses it to
-      serialize {e re-optimizations}: a goal whose recorded failure
-      bound proved insufficient must be recomputed under a more
-      generous limit even though an entry exists — exactly the case
-      {!try_claim_id}'s winner check is designed to refuse. *)
-  let try_acquire_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        if id < Array.length d.claimed && d.claimed.(id) then false
-        else begin
-          ensure_claimed d id;
-          d.claimed.(id) <- true;
-          true
-        end)
-
-  (** [claim_id t g id] marks the goal claimed unconditionally (used
-      when a worker starts a subgoal mid-run, so later seed grabs skip
-      it). *)
-  let claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        ensure_claimed d id;
-        d.claimed.(id) <- true)
-
-  (** [is_claimed_id t g id] — whether some run claimed the goal.
-      Workers consult this to wait for the claim holder's published
-      winner instead of duplicating the whole subtree. *)
-  let is_claimed_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        id < Array.length d.claimed && d.claimed.(id))
-
-  (** [release_claim_id t g id] reopens a claimed goal. The stealing
-      scheduler releases claims when a run is abandoned mid-flight (its
-      claimed-but-unpublished goals must become claimable again, or
-      every run parked on them would stall) and when a goal is
-      finalized (the published winner, not the claim, is then the
-      authority — a later run that needs a more generous bound
-      re-claims and re-optimizes instead of parking forever). *)
-  let release_claim_id t g id =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () ->
-        let d = data t g in
-        if id < Array.length d.claimed then d.claimed.(id) <- false)
-
-  (** {!lower_bound} for parallel workers: the intern table is guarded
-      by the intern mutex and the per-group cache by the group's
-      stripe. The bound is deterministic per class, so racing
-      recomputations store the same value. *)
-  let lower_bound_locked t g required =
-    let g = find_root t g in
-    let d = data t g in
-    let id = intern_locked t (required, None) in
-    Mutex.protect (stripe t g) (fun () ->
-        match if id < Array.length d.lbounds then d.lbounds.(id) else None with
-        | Some c -> c
-        | None ->
-          let c =
-            match d.lprops with
-            | Some props -> M.cost_lower_bound props required
-            | None -> M.cost_zero
-          in
-          ensure_lbounds d id;
-          d.lbounds.(id) <- Some c;
-          c)
-
-  (** {!record_alt} under the group's stripe lock, for parallel
-      workers. *)
-  let record_alt_locked t g id alt =
-    let g = find_root t g in
-    Mutex.protect (stripe t g) (fun () -> record_alt t g id alt)
-
-  (** Forget all claims (start of a parallel phase; claims are
-      transient and never consulted by the sequential engine). *)
-  let reset_claims t =
-    for g = 0 to t.n_groups - 1 do
-      let d = t.groups.(g) in
-      Array.fill d.claimed 0 (Array.length d.claimed) false
-    done
-
-  (** Fully compress union-find paths so concurrent readers of a frozen
-      memo only ever race on writes of already-final root values. *)
-  let compress_paths t =
-    for g = 0 to t.n_groups - 1 do
-      ignore (find_root t g : group)
-    done
 
   let in_progress t g id =
     let d = data t (find_root t g) in

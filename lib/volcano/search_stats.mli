@@ -38,12 +38,6 @@ type t = {
   mutable tasks : int;  (** total tasks executed by the stepper loop *)
   tasks_by_kind : int array;  (** per-kind totals; read via {!tasks_of_kind} *)
   mutable stack_hwm : int;  (** work-stack high-water mark *)
-  mutable par_goals_claimed : int;
-      (** goals claimed and computed by parallel search workers *)
-  mutable par_dup_goals : int;
-      (** goals a parallel worker computed only to find another worker
-          had already published an equivalent winner (bounded in-flight
-          duplication; the published result is unaffected) *)
   mutable goals_pruned_lb : int;
       (** goals and moves abandoned because a group cost lower bound
           ({!Signatures.MODEL.cost_lower_bound}) proved the limit
@@ -59,20 +53,8 @@ type t = {
           subtracting the lower bounds of unresolved sibling inputs *)
   mutable memo_fastpath_hits : int;
       (** goal-key intern lookups answered by the memo's hash-consing
-          table: the goal's winner/claim tables are then addressed by a
+          table: the goal's winner tables are then addressed by a
           small integer id instead of rehashing property vectors *)
-  mutable par_steals : int;
-      (** goal tasks a worker stole from another worker's Chase–Lev
-          deque (stealing scheduler only) *)
-  mutable par_backoffs : int;
-      (** backoff waits: a worker whose runnable work was exhausted —
-          every remaining goal parked on another worker's claim — slept
-          until a publication ticked (stealing scheduler only) *)
-  mutable par_dup_kills : int;
-      (** duplicate goal computations killed outright by the claim
-          table: a goal this worker wanted was already claimed (or
-          answered) by another worker, so it parked or skipped instead
-          of recomputing (stealing scheduler only) *)
   mutable mqo_shared_groups : int;
       (** logical subexpressions that occurred in two or more queries of
           a batch (multi-query optimization) *)

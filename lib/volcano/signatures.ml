@@ -73,7 +73,9 @@ module type MODEL = sig
 
   val cost_sub : cost -> cost -> cost
   (** For limit propagation in branch-and-bound (Figure 2:
-      [Limit - TotalCost]). *)
+      [Limit - TotalCost]). It may round up, never down: an input whose
+      cost fits the limit exactly must not fail it through float
+      rounding. *)
 
   val cost_compare : cost -> cost -> int
 

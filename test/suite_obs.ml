@@ -129,12 +129,10 @@ let test_metrics_json_shape () =
 (* Span trees from real optimizations                                  *)
 (* ------------------------------------------------------------------ *)
 
-let optimize ?tracer ?profiler ?recorder ?(explain = false) ?(domains = 1)
-    (q : Workload.query) =
+let optimize ?tracer ?profiler ?recorder ?(explain = false) (q : Workload.query) =
   let req =
     { (Relmodel.Optimizer.request q.catalog) with
       restore_columns = false;
-      domains;
       tracer;
       profiler;
       recorder;
@@ -150,8 +148,7 @@ let workload ~shape ~n ~seed =
    - parent links resolve, stay on one track, and bracket the child in
      time (a goal span closes after its concluding task's span);
    - per-kind task-span counts equal the engine's task counters, so the
-     trace is a complete account of the work — including the parallel
-     phase, whose workers record on their own tracks;
+     trace is a complete account of the work;
    - the merged span list is start-ordered. *)
 let assert_well_formed msg tracer (stats : Volcano.Search_stats.t) =
   let spans = Obs.Trace.spans tracer in
@@ -226,38 +223,9 @@ let test_double_close_raises () =
   Alcotest.check_raises "second close refused"
     (Invalid_argument "Trace.close: span already closed") (fun () -> Obs.Trace.close sp)
 
-let test_four_domain_tracks () =
-  let q = workload ~shape:Workload.Star ~n:5 ~seed:105 in
-  let tracer = Obs.Trace.create () in
-  let result = optimize ~tracer ~domains:4 q in
-  Alcotest.(check bool) "found a plan" true (result.plan <> None);
-  Alcotest.(check (list int)) "one track per domain plus the sequential engine"
-    [ 0; 1; 2; 3; 4 ] (Obs.Trace.tracks tracer);
-  assert_well_formed "star n=5 at 4 domains" tracer result.stats;
-  (* The parallel phase is really covered: worker tracks carry task
-     spans (the old flat hook dropped all of this on the floor). *)
-  let worker_tasks =
-    List.filter
-      (fun (sp : Obs.Trace.span) -> sp.Obs.Trace.sp_track > 0 && sp.sp_cat = "task")
-      (Obs.Trace.spans tracer)
-  in
-  Alcotest.(check bool) "worker tracks carry task spans" true (worker_tasks <> []);
-  (* Track 0 brackets the run in phase spans. *)
-  let phases =
-    List.filter_map
-      (fun (sp : Obs.Trace.span) ->
-        if sp.Obs.Trace.sp_cat = "phase" && sp.sp_track = 0 then Some sp.sp_name else None)
-      (Obs.Trace.spans tracer)
-  in
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (Printf.sprintf "phase %S present" name) true
-        (List.mem name phases))
-    [ "explore"; "prefix"; "parallel"; "finish" ]
-
 (* Observability must never steer the search: the plan and cost are
-   bit-identical with tracing/explain off, with both on, and at any
-   domain count with a tracer attached. *)
+   bit-identical with tracing/explain off, with a tracer alone, and with
+   both on. *)
 let render (result : Relmodel.Optimizer.result) =
   match result.plan with
   | None -> "NONE"
@@ -269,37 +237,31 @@ let test_observability_bit_identity () =
       let q = workload ~shape ~n ~seed in
       let base = render (optimize q) in
       Alcotest.(check bool) (name ^ ": base run finds a plan") true (base <> "NONE");
+      Alcotest.(check string) (name ^ ": traced run identical") base
+        (render (optimize ~tracer:(Obs.Trace.create ()) q));
       Alcotest.(check string) (name ^ ": tracer+explain identical") base
-        (render (optimize ~tracer:(Obs.Trace.create ()) ~explain:true q));
-      List.iter
-        (fun domains ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: traced %d-domain run identical" name domains)
-            base
-            (render (optimize ~tracer:(Obs.Trace.create ()) ~domains q)))
-        [ 2; 4 ])
+        (render (optimize ~tracer:(Obs.Trace.create ()) ~explain:true q)))
     [
       (Workload.Chain, "chain n=4", 4, 23);
       (Workload.Star, "star n=5", 5, 105);
     ]
 
-(* Property: on random workloads, sequential or parallel, the span tree
-   of a finished run is well-formed and accounts for every task. *)
+(* Property: on random workloads, the span tree of a finished run is
+   well-formed and accounts for every task. *)
 let prop_spans_well_formed =
   let gen =
     QCheck.Gen.(
-      quad (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 4) (int_range 0 999)
-        (int_range 1 2))
+      triple (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 4) (int_range 0 999))
   in
   Helpers.qcheck_case ~count:12 "span tree well-formed on random workloads"
-    (QCheck.make gen) (fun (shape, n, seed, domains) ->
+    (QCheck.make gen) (fun (shape, n, seed) ->
       let q = workload ~shape ~n ~seed in
       let tracer = Obs.Trace.create () in
-      let result = optimize ~tracer ~domains q in
+      let result = optimize ~tracer q in
       assert_well_formed
-        (Printf.sprintf "shape=%s n=%d seed=%d domains=%d"
+        (Printf.sprintf "shape=%s n=%d seed=%d"
            (match shape with Workload.Chain -> "chain" | _ -> "star")
-           n seed domains)
+           n seed)
         tracer result.stats;
       result.plan <> None)
 
@@ -310,7 +272,7 @@ let prop_spans_well_formed =
 let test_chrome_trace_shape () =
   let q = workload ~shape:Workload.Star ~n:4 ~seed:104 in
   let tracer = Obs.Trace.create () in
-  ignore (optimize ~tracer ~domains:4 q : Relmodel.Optimizer.result);
+  ignore (optimize ~tracer q : Relmodel.Optimizer.result);
   let parsed =
     match Obs.Json.of_string (Obs.Json.to_string (Obs.Chrome_trace.to_json tracer)) with
     | Ok j -> j
@@ -490,7 +452,7 @@ let test_flightrec_wraparound () =
   let fr2 = Obs.Flight_recorder.create ~capacity:8 () in
   let ring2 = Obs.Flight_recorder.ring fr2 ~track:0 in
   for i = 0 to 4 do
-    Obs.Flight_recorder.record ring2 Obs.Flight_recorder.Claim ~group:i ~detail:i
+    Obs.Flight_recorder.record ring2 Obs.Flight_recorder.Prune ~group:i ~detail:i
   done;
   Alcotest.(check int) "no drops below capacity" 0 (Obs.Flight_recorder.dropped fr2);
   Alcotest.(check (list int)) "insertion order below capacity" [ 0; 1; 2; 3; 4 ]
@@ -564,34 +526,29 @@ let test_flightrec_trigger_dump () =
 
 (* The attribution-parity invariant: the engine charges exactly one
    profiler task per executed task, so the per-entry task counts sum to
-   the engine's total task counter — sequentially and across parallel
-   worker tracks. *)
+   the engine's total task counter. *)
 let test_profiler_attribution_parity () =
+  let q = workload ~shape:Workload.Star ~n:5 ~seed:105 in
+  let profiler = Obs.Profile.create () in
+  let result = optimize ~profiler q in
+  Alcotest.(check bool) "found a plan" true (result.plan <> None);
+  Alcotest.(check int) "per-rule tasks sum to the task counter"
+    result.stats.Volcano.Search_stats.tasks
+    (Obs.Profile.total_tasks profiler);
+  let entries = Obs.Profile.report profiler in
+  Alcotest.(check bool) "entries present" true (entries <> []);
+  (* Someone won the root: plans_won attribution is live. *)
+  Alcotest.(check bool) "plans won attributed" true
+    (List.exists (fun (e : Obs.Profile.entry) -> e.plans_won > 0) entries);
+  (* Transformation and implementation rules show up by name. *)
+  Alcotest.(check bool) "rule entries present" true
+    (List.exists (fun (e : Obs.Profile.entry) -> e.kind = Obs.Profile.Rule) entries);
   List.iter
-    (fun domains ->
-      let q = workload ~shape:Workload.Star ~n:5 ~seed:105 in
-      let profiler = Obs.Profile.create () in
-      let result = optimize ~profiler ~domains q in
-      Alcotest.(check bool) "found a plan" true (result.plan <> None);
-      Alcotest.(check int)
-        (Printf.sprintf "domains=%d: per-rule tasks sum to the task counter" domains)
-        result.stats.Volcano.Search_stats.tasks
-        (Obs.Profile.total_tasks profiler);
-      let entries = Obs.Profile.report profiler in
-      Alcotest.(check bool) "entries present" true (entries <> []);
-      (* Someone won the root: plans_won attribution is live. *)
-      Alcotest.(check bool) "plans won attributed" true
-        (List.exists (fun (e : Obs.Profile.entry) -> e.plans_won > 0) entries);
-      (* Transformation and implementation rules show up by name. *)
-      Alcotest.(check bool) "rule entries present" true
-        (List.exists (fun (e : Obs.Profile.entry) -> e.kind = Obs.Profile.Rule) entries);
-      List.iter
-        (fun (e : Obs.Profile.entry) ->
-          if e.tasks < 0 || e.mexprs < 0 || e.plans_won < 0 || e.pruned < 0
-             || e.wasted < 0 || Int64.compare e.ns 0L < 0
-          then Alcotest.failf "negative counter for %s" e.name)
-        entries)
-    [ 1; 4 ]
+    (fun (e : Obs.Profile.entry) ->
+      if e.tasks < 0 || e.mexprs < 0 || e.plans_won < 0 || e.pruned < 0
+         || e.wasted < 0 || Int64.compare e.ns 0L < 0
+      then Alcotest.failf "negative counter for %s" e.name)
+    entries
 
 (* Profiler JSON and registry export shapes. *)
 let test_profiler_export_shapes () =
@@ -614,50 +571,85 @@ let test_profiler_export_shapes () =
   let contains = Helpers.contains in
   Alcotest.(check bool) "rule_* gauges exported" true (contains text "rule_");
   Alcotest.(check bool) "per-rule task gauge exported" true (contains text "_tasks");
-  (* The table renderer stays bounded. *)
-  let table = Format.asprintf "%a" (Obs.Profile.pp_table ~top:5) profiler in
-  Alcotest.(check bool) "table has a header" true (contains table "tasks");
-  Alcotest.(check bool) "table mentions a rule" true (contains table "rule")
+  (* The table renderer stays bounded: the top 5 rows by time, in
+     descending time order, then a trailer counting the rest. Which
+     entries make the top 5 depends on timing, so only the order and
+     the count are checked. *)
+  let table_lines top =
+    Format.asprintf "%a" (Obs.Profile.pp_table ~top) profiler
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  let header, rows =
+    match table_lines 5 with h :: rows -> (h, rows) | [] -> Alcotest.fail "empty table"
+  in
+  Alcotest.(check bool) "table has a header" true (contains header "tasks");
+  Alcotest.(check bool) "more entries than the top 5" true (List.length entries > 5);
+  let rows, trailer =
+    match List.rev rows with
+    | t :: rev_rows -> (List.rev rev_rows, t)
+    | [] -> Alcotest.fail "table has no rows"
+  in
+  Alcotest.(check int) "top 5 rows shown" 5 (List.length rows);
+  Alcotest.(check string) "trailer counts the remaining rows"
+    (Printf.sprintf "... and %d more" (List.length entries - 5))
+    trailer;
+  let time_of row =
+    match List.rev (String.split_on_char ' ' (String.trim row)) with
+    | t :: _ -> float_of_string t
+    | [] -> Alcotest.fail "empty row"
+  in
+  let times = List.map time_of rows in
+  Alcotest.(check (list (float 0.))) "rows in descending time order"
+    (List.sort (fun a b -> compare b a) times) times;
+  (* Untruncated, the table lists every rule entry of the JSON. *)
+  let full = table_lines max_int in
+  List.iter
+    (fun e ->
+      match (Obs.Json.member "kind" e, Obs.Json.member "name" e) with
+      | Some (Obs.Json.Str "rule"), Some (Obs.Json.Str name) ->
+        Alcotest.(check bool) ("table lists rule " ^ name) true
+          (List.exists
+             (fun l ->
+               match String.split_on_char ' ' l with
+               | "rule" :: _ -> contains l (" " ^ name ^ " ")
+               | _ -> false)
+             full)
+      | _ -> ())
+    entries
 
 (* Observability stays plan-inert with the profiler and the flight
-   recorder attached, at 1, 2, and 4 domains. *)
+   recorder attached. *)
 let test_profiling_bit_identity () =
   List.iter
     (fun (shape, name, n, seed) ->
       let q = workload ~shape ~n ~seed in
       let base = render (optimize q) in
       Alcotest.(check bool) (name ^ ": base run finds a plan") true (base <> "NONE");
-      List.iter
-        (fun domains ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s: profiled %d-domain run identical" name domains)
-            base
-            (render
-               (optimize ~profiler:(Obs.Profile.create ())
-                  ~recorder:(Obs.Flight_recorder.create ~capacity:128 ())
-                  ~domains q)))
-        [ 1; 2; 4 ])
+      Alcotest.(check string) (name ^ ": profiled run identical") base
+        (render
+           (optimize ~profiler:(Obs.Profile.create ())
+              ~recorder:(Obs.Flight_recorder.create ~capacity:128 ())
+              q)))
     [
       (Workload.Chain, "chain n=4", 4, 23);
       (Workload.Star, "star n=5", 5, 105);
     ]
 
 (* Property: profiling and flight recording never change the plan, and
-   attribution parity holds, on random workloads at random domain
-   counts. *)
+   attribution parity holds, on random workloads. *)
 let prop_profile_plan_inert =
   let gen =
     QCheck.Gen.(
-      quad (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 4) (int_range 0 999)
-        (int_range 1 2))
+      triple (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 4) (int_range 0 999))
   in
   Helpers.qcheck_case ~count:12 "profiling is plan-inert on random workloads"
-    (QCheck.make gen) (fun (shape, n, seed, domains) ->
+    (QCheck.make gen) (fun (shape, n, seed) ->
       let q = workload ~shape ~n ~seed in
-      let plain = render (optimize ~domains q) in
+      let plain = render (optimize q) in
       let profiler = Obs.Profile.create () in
       let recorder = Obs.Flight_recorder.create ~capacity:64 () in
-      let result = optimize ~profiler ~recorder ~domains q in
+      let result = optimize ~profiler ~recorder q in
       plain = render result
       && Obs.Profile.total_tasks profiler = result.stats.Volcano.Search_stats.tasks)
 
@@ -716,7 +708,6 @@ let suite =
     Alcotest.test_case "metrics JSON shape" `Quick test_metrics_json_shape;
     Alcotest.test_case "sequential span tree well-formed" `Quick test_span_tree_sequential;
     Alcotest.test_case "a span closes exactly once" `Quick test_double_close_raises;
-    Alcotest.test_case "4-domain run: one track per worker" `Quick test_four_domain_tracks;
     Alcotest.test_case "observability never changes the plan" `Quick
       test_observability_bit_identity;
     prop_spans_well_formed;

@@ -1,8 +1,7 @@
 (* Tests of guided pruning: group cost lower bounds must never change
    the outcome — only how much work finds it. Every configuration arm
    (no pruning, plain Figure-2, Figure 2 + guided) must produce a
-   bit-identical winning plan and cost, sequentially and in parallel;
-   the bound itself must sit at or below every winner the search
+   bit-identical winning plan and cost; the bound itself must sit at or below every winner the search
    records. *)
 
 open Relalg
@@ -15,14 +14,13 @@ let render (result : Relmodel.Optimizer.result) =
   | Some p ->
     Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
 
-let optimize_arm ?(domains = 1) ~pruning ~guided (q : Workload.query) required =
+let optimize_arm ~pruning ~guided (q : Workload.query) required =
   let request =
     {
       (Relmodel.Optimizer.request q.catalog) with
       restore_columns = false;
       pruning;
       guided_pruning = guided;
-      domains;
     }
   in
   Relmodel.Optimizer.optimize request q.logical ~required
@@ -110,7 +108,7 @@ let test_bound_below_every_winner () =
     [ (Workload.Chain, 4, 23); (Workload.Star, 4, 104); (Workload.Star, 5, 105) ]
 
 (* ------------------------------------------------------------------ *)
-(* Property: every arm agrees, sequentially and at 4 domains          *)
+(* Property: every arm agrees                                          *)
 (* ------------------------------------------------------------------ *)
 
 let prop_arms_agree =
@@ -130,17 +128,6 @@ let prop_arms_agree =
       render (optimize_arm ~pruning:true ~guided:false q required) = base
       && render (optimize_arm ~pruning:true ~guided:true q required) = base)
 
-let prop_guided_parallel_equals_seq =
-  let gen =
-    QCheck.Gen.(
-      triple (oneofl [ Workload.Chain; Workload.Star ]) (int_range 2 5) (int_range 0 999))
-  in
-  Helpers.qcheck_case ~count:12 "guided pruning bit-identical at 4 domains"
-    (QCheck.make gen) (fun (shape, n, seed) ->
-      let q = Workload.generate (Workload.spec ~shape ~n_relations:n ~seed ()) in
-      render (optimize_arm ~pruning:true ~guided:true q Phys_prop.any)
-      = render (optimize_arm ~domains:4 ~pruning:true ~guided:true q Phys_prop.any))
-
 let suite =
   [
     Alcotest.test_case "guided counters fire" `Quick test_counters_fire;
@@ -151,5 +138,4 @@ let suite =
     Alcotest.test_case "lower bound below every winner" `Quick
       test_bound_below_every_winner;
     prop_arms_agree;
-    prop_guided_parallel_equals_seq;
   ]

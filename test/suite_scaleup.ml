@@ -12,14 +12,13 @@ let render (result : Relmodel.Optimizer.result) =
   | Some p ->
     Printf.sprintf "%s|%.17g" (Relmodel.Optimizer.explain p) (Cost.total p.cost)
 
-let optimize_arm q ~required ~promise ~guided ~domains =
+let optimize_arm q ~required ~promise ~guided =
   let request =
     {
       (Relmodel.Optimizer.request q.Workload.catalog) with
       restore_columns = false;
       guided_pruning = guided;
       promise;
-      domains;
     }
   in
   Relmodel.Optimizer.optimize request q.Workload.logical ~required
@@ -29,7 +28,7 @@ let optimize_arm q ~required ~promise ~guided ~domains =
    may only change how fast the winner is reached, never which plan
    wins (the cost-tie-break in [consider] keys on the static rank both
    arms compute). Exercised across random topologies, skew,
-   correlation, both pruning arms, and 1/2/4 domains. *)
+   correlation, and both pruning arms. *)
 let qcheck_static_dynamic_identical =
   let gen =
     QCheck.Gen.(
@@ -59,19 +58,56 @@ let qcheck_static_dynamic_identical =
         else Phys_prop.any
       in
       let reference =
-        render (optimize_arm q ~required ~promise:Volcano.Search.Static ~guided:true
-                  ~domains:1)
+        render (optimize_arm q ~required ~promise:Volcano.Search.Static ~guided:true)
       in
       List.for_all
-        (fun (promise, guided, domains) ->
-          render (optimize_arm q ~required ~promise ~guided ~domains) = reference)
+        (fun (promise, guided) ->
+          render (optimize_arm q ~required ~promise ~guided) = reference)
         [
-          (Volcano.Search.Dynamic, true, 1);
-          (Volcano.Search.Static, false, 1);
-          (Volcano.Search.Dynamic, false, 1);
-          (Volcano.Search.Dynamic, true, 2);
-          (Volcano.Search.Dynamic, true, 4);
+          (Volcano.Search.Dynamic, true);
+          (Volcano.Search.Static, false);
+          (Volcano.Search.Dynamic, false);
         ])
+
+(* Cases with two equal-cost plans where dynamic order finds the
+   higher-ranked one first. The lower-ranked one must then survive its
+   input limits despite float rounding in the limit arithmetic, or the
+   arms keep different plans. (n, shape, seed, skew, correlation,
+   sorted), from the generator above. *)
+let test_pinned_cost_ties () =
+  List.iter
+    (fun (n, shape, seed, skew, correlation, sorted) ->
+      let q =
+        Workload.generate
+          (Workload.spec ~shape ~skew ?correlation ~n_relations:n ~seed ())
+      in
+      let required =
+        if sorted then Phys_prop.sorted (Sort_order.asc [ List.hd q.relations ^ ".jk1" ])
+        else Phys_prop.any
+      in
+      let render_arm promise guided = render (optimize_arm q ~required ~promise ~guided) in
+      let reference = render_arm Volcano.Search.Static true in
+      List.iter
+        (fun (promise, guided, arm) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed=%d: %s = static" (Workload.shape_name shape) seed arm)
+            reference (render_arm promise guided))
+        [
+          (Volcano.Search.Dynamic, true, "dynamic");
+          (Volcano.Search.Static, false, "static unguided");
+          (Volcano.Search.Dynamic, false, "dynamic unguided");
+        ])
+    [
+      (5, Workload.Snowflake, 7226, 0.5, Some 1.0, false);
+      (5, Workload.Grid, 722, 1., None, true);
+      (5, Workload.Cycle, 4113, 0.5, Some 1.0, true);
+      (5, Workload.Clique, 3808, 0., Some 0.0, true);
+      (3, Workload.Random_acyclic, 5752, 1., Some 1.0, false);
+      (5, Workload.Clique, 8324, 1., Some 0.0, true);
+      (3, Workload.Star, 4271, 1., Some 0.0, false);
+      (4, Workload.Grid, 5929, 0., None, true);
+      (3, Workload.Cycle, 6662, 0., Some 0.0, true);
+    ]
 
 let anytime_of q ~promise ~budgets =
   let request =
@@ -157,7 +193,7 @@ let test_anytime_matches_one_shot () =
   let a = anytime_of q ~promise:Volcano.Search.Dynamic ~budgets:[ 1_000_000_000 ] in
   let one_shot =
     optimize_arm q ~required:Phys_prop.any ~promise:Volcano.Search.Dynamic
-      ~guided:true ~domains:1
+      ~guided:true
   in
   Alcotest.(check bool) "both complete" true (a.an_result.complete && one_shot.complete);
   Alcotest.(check string) "identical plan" (render one_shot) (render a.an_result)
@@ -169,7 +205,7 @@ let test_promise_counters () =
       (Workload.spec ~shape:Workload.Star ~n_relations:5 ~seed:44 ())
   in
   let stat promise =
-    (optimize_arm q ~required:Phys_prop.any ~promise ~guided:true ~domains:1).stats
+    (optimize_arm q ~required:Phys_prop.any ~promise ~guided:true).stats
   in
   let st = stat Volcano.Search.Static in
   Alcotest.(check int) "static: no promise evals" 0 st.promise_evals;
@@ -182,6 +218,8 @@ let test_promise_counters () =
 let suite =
   [
     qcheck_static_dynamic_identical;
+    Alcotest.test_case "static and dynamic agree on pinned cost ties" `Quick
+      test_pinned_cost_ties;
     Alcotest.test_case "anytime monotone" `Quick test_anytime_monotone;
     Alcotest.test_case "anytime matches one-shot" `Quick test_anytime_matches_one_shot;
     Alcotest.test_case "promise counters" `Quick test_promise_counters;

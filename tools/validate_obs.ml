@@ -31,7 +31,7 @@ let num_field name ev = Option.bind (Obs.Json.member name ev) Obs.Json.to_float
 
 (* A Chrome trace: {"traceEvents": [...], "displayTimeUnit": "ms"},
    every event a complete span ("X") or track metadata ("M") with
-   non-negative microsecond timestamps, and track 0 (the sequential
+   non-negative microsecond timestamps, and track 0 (the search
    engine) present. *)
 let validate_trace path =
   let j = load path in
@@ -333,7 +333,7 @@ let validate_profile path =
         | None -> fail "%s: non-integer track" path) l
     | None -> fail "%s: tracks missing or not an array" path
   in
-  if not (List.mem 0 tracks) then fail "%s: track 0 (sequential engine) missing" path;
+  if not (List.mem 0 tracks) then fail "%s: track 0 (search engine) missing" path;
   let entries =
     match Option.bind (Obs.Json.member "entries" j) Obs.Json.to_list with
     | Some [] -> fail "%s: entries is empty" path
@@ -421,7 +421,7 @@ let validate_flightrec path =
        | _ -> fail "%s: event %d has a bad track" path i);
       (match str_field "kind" ev with
        | Some
-           ( "task_begin" | "task_end" | "claim" | "publish" | "prune"
+           ( "task_begin" | "task_end" | "publish" | "prune"
            | "incumbent" ) -> ()
        | _ -> fail "%s: event %d has an unknown kind" path i);
       List.iter
